@@ -26,7 +26,6 @@ import (
 	"vkgraph/internal/analysis/checker"
 	"vkgraph/internal/analysis/ctxpropagate"
 	"vkgraph/internal/analysis/lockgraph"
-	"vkgraph/internal/analysis/lockorder"
 	"vkgraph/internal/analysis/lostcancel"
 	"vkgraph/internal/analysis/obssafety"
 	"vkgraph/internal/analysis/sealedps"
@@ -36,7 +35,6 @@ import (
 
 func main() {
 	suite := []*analysis.Analyzer{
-		lockorder.Analyzer,
 		lockgraph.Analyzer,
 		walappend.Analyzer,
 		atomicmix.Analyzer,

@@ -1,8 +1,9 @@
-// Package lockgraph builds the program-wide lock-order graph and detects
-// the cycles that make it a deadlock risk.
+// Package lockgraph builds the program-wide lock-order graph, detects the
+// cycles that make it a deadlock risk, and keeps write-critical sections
+// free of blocking calls.
 //
 // Every mutex field of a package-level struct type is a lock class, named
-// pkg.Type.field (core.Engine.mu, core.engineShard.mu, core.walState.mu,
+// pkg.Type.field (core.Engine.mu, core.walState.mu, obs.TraceStore.mu,
 // ...). Within each function the analyzer replays lock events in source
 // order, and whenever class B is acquired while class A is held it records
 // the edge A → B. Acquisition is visible two ways: a direct x.mu.Lock /
@@ -18,23 +19,35 @@
 //   - any cycle, with the full witness path (file:line of every edge) —
 //     a potential deadlock;
 //   - any edge that inverts the documented rank order engine(0) →
-//     shard(1) → leaf(2), where the ranks come from the same structural
-//     shape detection lockorder uses (an engine is a mutex-bearing struct
-//     with a slice of mutex-bearing shard structs; a leaf is any other
-//     mutex-bearing struct hung off an engine field, e.g. the WAL state,
-//     the result cache, the trace store).
+//     leaf(1). The ranks come from a structural shape, not from names: an
+//     engine is a struct with its own mutex field that also owns, through
+//     a (possibly pointer) field, another mutex-bearing struct; that owned
+//     struct's mutexes are leaves (the WAL state, the result cache, the
+//     trace store hanging off core.Engine).
 //
-// Self-edges (shard[i] then shard[j], same class) are excluded from cycle
-// detection — the ascending-index discipline for same-class acquisition is
-// lockorder rule 3's and the vkgdebug runtime assertion's job — but they
-// are shown in the dump. `-lockgraph-dump` prints the whole graph.
+// Self-edges (class A acquired while A is held) are excluded from cycle
+// detection — a lexical scan cannot tell two instances of a class from
+// one — but they are shown in the dump. `-lockgraph-dump` prints the whole
+// graph.
+//
+// Per function, one more rule holds in hot-path packages (those defining
+// an engine shape, plus internal/core and internal/rtree): no potentially
+// blocking operation inside a write-critical section (between mu.Lock and
+// mu.Unlock, on any mutex) — channel operations, select, time.Sleep,
+// sync.WaitGroup.Wait, filesystem and network calls, writes to stdio, and
+// obs registry flushes (Registry.Snapshot/WritePrometheus, which take the
+// registry lock). Lock-free obs increments (Counter.Inc,
+// Histogram.Observe, ...) are allowed — the hot paths depend on that.
+// Elsewhere, holding a lock across I/O can be a deliberate serialization
+// choice (e.g. the experiments dataset cache memoizes expensive builds
+// under its mutex).
 //
 // Approximations, deliberate (the framework is lexical, not SSA): events
-// are ordered by source position within one body; function literals are
-// scanned as separate roots with an empty held set (what a deferred or
-// spawned closure holds at run time is unknowable lexically); a callee
-// that returns still holding locks (rlockShards) contributes edges at the
-// call site but does not extend the caller's held set.
+// are ordered by source position within one body; for the graph, function
+// literals are scanned as separate roots with an empty held set (what a
+// deferred or spawned closure holds at run time is unknowable lexically);
+// a callee that returns still holding locks contributes edges at the call
+// site but does not extend the caller's held set.
 package lockgraph
 
 import (
@@ -48,7 +61,6 @@ import (
 	"strings"
 
 	"vkgraph/internal/analysis"
-	"vkgraph/internal/analysis/lockorder"
 )
 
 // AcquiresFact records, on a function, the lock classes the function may
@@ -70,7 +82,7 @@ type Edge struct {
 }
 
 // ClassInfo carries a lock class's rank in the documented order:
-// 0 engine, 1 shard, 2 leaf; -1 unknown (no shape evidence).
+// 0 engine, 1 leaf; -1 unknown (no shape evidence).
 type ClassInfo struct {
 	Name string
 	Rank int
@@ -92,7 +104,7 @@ var dumpGraph bool
 // acyclic and rank-ordered.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockgraph",
-	Doc:       "build the program-wide lock-order graph; report cycles (potential deadlocks) and engine→shard→leaf rank inversions",
+	Doc:       "build the program-wide lock-order graph; report cycles (potential deadlocks), engine→leaf rank inversions, and blocking calls in write-critical sections",
 	Run:       run,
 	FactTypes: []analysis.Fact{new(AcquiresFact), new(EdgesFact)},
 	Finish:    finish,
@@ -123,6 +135,9 @@ type funcScan struct {
 
 func run(pass *analysis.Pass) error {
 	classes := classTable(pass.Pkg)
+	hotPath := len(engineShapes(pass.Pkg)) > 0 ||
+		strings.Contains(pass.Pkg.Path(), "internal/core") ||
+		strings.Contains(pass.Pkg.Path(), "internal/rtree")
 
 	// Collect scan roots: every function declaration, and every function
 	// literal as an independent root (empty held set).
@@ -132,6 +147,9 @@ func run(pass *analysis.Pass) error {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
+			}
+			if hotPath {
+				checkBlocking(pass, fd)
 			}
 			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 			roots := splitLits(fd.Body)
@@ -230,11 +248,53 @@ type classKinds struct {
 	info   map[string]int        // class -> rank
 }
 
+// mutexStruct returns t's (pointer-stripped) named struct type when that
+// struct has a mutex field of its own, excluding sync's own types (Once,
+// Cond), which are primitives rather than lock-bearing state.
+func mutexStruct(t types.Type) (*types.Named, *types.Struct, bool) {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || (named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync") {
+		return nil, nil, false
+	}
+	st, ok := named.Underlying().(*types.Struct)
+	if !ok || !hasMutexField(st) {
+		return nil, nil, false
+	}
+	return named, st, true
+}
+
+// engineShapes returns the package's engine types: structs with a mutex
+// field that also own, through a field, another mutex-bearing struct.
+func engineShapes(pkg *types.Package) map[*types.Named]bool {
+	engines := make(map[*types.Named]bool)
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		named, st, ok := mutexStruct(tn.Type())
+		if !ok || named.Obj() != tn {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if fn, _, ok := mutexStruct(st.Field(i).Type()); ok && fn != named {
+				engines[named] = true
+				break
+			}
+		}
+	}
+	return engines
+}
+
 // classTable enumerates the package's lock classes and ranks them by the
-// engine/shard/leaf shape.
+// engine/leaf shape.
 func classTable(pkg *types.Package) *classKinds {
 	ck := &classKinds{pkg: pkg, fields: make(map[*types.Var]string), info: make(map[string]int)}
-	engines, shards := lockorder.Shapes(pkg)
+	engines := engineShapes(pkg)
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -250,64 +310,74 @@ func classTable(pkg *types.Package) *classKinds {
 			continue
 		}
 		rank := -1
-		switch {
-		case engines[named]:
+		if engines[named] {
 			rank = 0
-		case shards[named]:
-			rank = 1
 		}
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
-			if !lockorder.IsMutexType(f.Type()) {
+			if !isMutexType(f.Type()) {
 				continue
 			}
 			class := className(pkg, name, f.Name())
 			ck.fields[f] = class
 			ck.setRank(class, rank)
 		}
-		// Leaves: any other mutex-bearing struct hung off an engine field
-		// ((possibly pointer) named struct that is not the shard slice) is
-		// one level below the shards in the documented order. This is how
+		// Leaves: every mutex-bearing struct hung off an engine field is one
+		// level below the engine in the documented order. This is how
 		// core.walState.mu, core.resultCache.mu, and obs.TraceStore.mu get
-		// rank 2 from core's own shape, even across packages.
-		if engines[named] {
-			for i := 0; i < st.NumFields(); i++ {
-				ft := st.Field(i).Type()
-				if p, ok := ft.(*types.Pointer); ok {
-					ft = p.Elem()
-				}
-				fn, ok := ft.(*types.Named)
-				if !ok || engines[fn] || shards[fn] {
+		// rank 1 from core's own shape, even across packages.
+		if !engines[named] {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			fn, fst, ok := mutexStruct(st.Field(i).Type())
+			if !ok || engines[fn] {
+				continue
+			}
+			fpkg := pkg
+			if fn.Obj().Pkg() != nil {
+				fpkg = fn.Obj().Pkg()
+			}
+			for j := 0; j < fst.NumFields(); j++ {
+				lf := fst.Field(j)
+				if !isMutexType(lf.Type()) {
 					continue
 				}
-				// Mutexes themselves, and sync's internals (Once, Cond),
-				// are synchronization primitives, not lock-bearing state.
-				if fn.Obj().Pkg() != nil && fn.Obj().Pkg().Path() == "sync" {
-					continue
-				}
-				fst, ok := fn.Underlying().(*types.Struct)
-				if !ok {
-					continue
-				}
-				fpkg := pkg
-				if fn.Obj().Pkg() != nil {
-					fpkg = fn.Obj().Pkg()
-				}
-				for j := 0; j < fst.NumFields(); j++ {
-					lf := fst.Field(j)
-					if !lockorder.IsMutexType(lf.Type()) {
-						continue
-					}
-					class := className(fpkg, fn.Obj().Name(), lf.Name())
-					ck.setRank(class, 2)
-					if fpkg == pkg {
-						ck.fields[lf] = class
-					}
+				class := className(fpkg, fn.Obj().Name(), lf.Name())
+				ck.setRank(class, 1)
+				if fpkg == pkg {
+					ck.fields[lf] = class
 				}
 			}
 		}
 	}
 	return ck
+}
+
+func hasMutexField(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if isMutexType(st.Field(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+// isMutexType reports whether t (or its pointee) is sync.Mutex or
+// sync.RWMutex.
+func isMutexType(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return false
+	}
+	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
 // setRank records a class's rank, never downgrading: shape evidence
@@ -457,7 +527,7 @@ func lockAcq(pass *analysis.Pass, call *ast.CallExpr, classes *classKinds) (acq,
 		return acq{}, false
 	}
 	fieldObj, ok := pass.ObjectOf(fieldSel.Sel).(*types.Var)
-	if !ok || !fieldObj.IsField() || !lockorder.IsMutexType(fieldObj.Type()) {
+	if !ok || !fieldObj.IsField() || !isMutexType(fieldObj.Type()) {
 		return acq{}, false
 	}
 	class, ok := classes.classOfField(fieldObj)
@@ -593,21 +663,20 @@ func finish(fp *analysis.FinalPass) error {
 	}
 
 	// Rank inversions: an edge from a ranked class to a strictly
-	// lower-ranked class contradicts the documented engine→shard→leaf
-	// order even before it closes a cycle.
+	// lower-ranked class contradicts the documented engine→leaf order even
+	// before it closes a cycle.
 	for _, e := range edges {
 		rf, okF := ranks[e.From]
 		rt, okT := ranks[e.To]
 		if okF && okT && rf >= 0 && rt >= 0 && e.From != e.To && rf > rt {
 			fp.Reportf(posnOf(e.Pos),
-				"lock order inverted: %s (%s) acquired while %s (%s) is held in %s; the documented order is engine → shard → leaf",
+				"lock order inverted: %s (%s) acquired while %s (%s) is held in %s; the documented order is engine → leaf",
 				e.To, rankName(rt), e.From, rankName(rf), e.Fn)
 		}
 	}
 
-	// Cycle detection over the class graph, self-edges excluded (the
-	// ascending-index discipline for same-class acquisition belongs to
-	// lockorder rule 3 and the vkgdebug runtime assertion).
+	// Cycle detection over the class graph, self-edges excluded (see the
+	// package doc).
 	adj := make(map[string][]Edge)
 	for _, e := range edges {
 		if e.From != e.To {
@@ -719,7 +788,7 @@ func dump(edges []Edge, ranks map[string]int) {
 	for _, e := range sorted {
 		note := ""
 		if e.From == e.To {
-			note = "  (same class: ascending-index discipline, checked at runtime under -tags vkgdebug)"
+			note = "  (same class: excluded from cycle detection)"
 		}
 		fmt.Printf("  %-28s -> %-28s [%s -> %s] %-5s %s (%s)%s\n",
 			e.From, e.To, rankName(rankOf(ranks, e.From)), rankName(rankOf(ranks, e.To)), e.Op, e.Pos, e.Fn, note)
@@ -750,8 +819,6 @@ func rankName(rank int) string {
 	case 0:
 		return "engine"
 	case 1:
-		return "shard"
-	case 2:
 		return "leaf"
 	}
 	return "?"

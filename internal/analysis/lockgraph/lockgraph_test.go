@@ -8,5 +8,5 @@ import (
 )
 
 func TestGolden(t *testing.T) {
-	analysistest.Run(t, "testdata", lockgraph.Analyzer, "cyclic", "lockuser")
+	analysistest.Run(t, "testdata", lockgraph.Analyzer, "cyclic", "lockuser", "critical")
 }

@@ -10,24 +10,16 @@ import (
 	"locklib"
 )
 
-type shard struct {
-	mu   sync.RWMutex
-	data []int
-}
-
 type engine struct {
-	mu     sync.RWMutex
-	shards []*shard
-	store  *locklib.Store
+	mu    sync.RWMutex
+	n     int
+	store *locklib.Store
 }
 
-// ok: the documented order — engine read lock, then a shard.
+// ok: the engine lock alone.
 func (e *engine) query() int {
 	e.mu.RLock()
-	sh := e.shards[0]
-	sh.mu.RLock()
-	n := len(sh.data)
-	sh.mu.RUnlock()
+	n := e.n
 	e.mu.RUnlock()
 	return n
 }
@@ -38,12 +30,11 @@ func (e *engine) count() int {
 }
 
 // bad: a foreign engine-ranked lock acquired (through Tick's imported
-// acquire set) while a shard lock is held.
-func (e *engine) tickUnderShard(le *locklib.LibEngine) {
-	sh := e.shards[0]
-	sh.mu.Lock()
-	le.Tick() // want `lock order inverted: locklib\.LibEngine\.mu \(engine\) acquired while lockuser\.shard\.mu \(shard\) is held in tickUnderShard`
-	sh.mu.Unlock()
+// acquire set) while a leaf lock is held.
+func (e *engine) tickUnderStore(le *locklib.LibEngine) {
+	e.store.Mu.Lock()
+	le.Tick() // want `lock order inverted: locklib\.LibEngine\.mu \(engine\) acquired while locklib\.Store\.Mu \(leaf\) is held in tickUnderStore`
+	e.store.Mu.Unlock()
 }
 
 // bad: the engine lock acquired while the leaf store — ranked by

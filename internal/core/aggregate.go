@@ -188,19 +188,12 @@ func (e *Engine) aggregate(q1 []float64, q AggQuery, skip func(kg.EntityID) bool
 	q2 := e.tf.Apply(q1)
 	tr.Step(obs.StageTransform)
 
-	// The walks below (nearest probe, ball collection, contour statistics)
-	// read every shard tree, so all shard read locks are held from here
-	// until the ball is collected; they must be released before finishQuery,
-	// which takes shard write locks.
-	e.rlockShards()
-
 	// The ball radius: the closest entity has probability 1 at distance d1
 	// and probabilities decay as d1/d, so probability >= pTau within
 	// radius d1/pTau (in S1; expanded by (1+eps) to survive the JL
 	// distortion when measured in S2).
 	d1 := e.nearestDist(q1, q2, skip)
 	if math.IsInf(d1, 1) {
-		e.runlockShards()
 		e.mu.RUnlock()
 		return &AggResult{}, nil // no candidate entities at all
 	}
@@ -210,14 +203,14 @@ func (e *Engine) aggregate(q1 []float64, q AggQuery, skip func(kg.EntityID) bool
 	rTau := d1 / pTau
 	r2 := rTau * (1 + eps)
 
-	// Collect the ball in ascending S2 distance (the access order), merged
-	// across every shard the ball overlaps. For attribute aggregates only
+	// Collect the ball in ascending S2 distance (the access order). For
+	// attribute aggregates only
 	// entities bearing the attribute are relevant — ball members of other
 	// types (e.g. users in a movie-year query) can never contribute a
 	// value, so they are excluded from both the sample and the probability
 	// mass, matching the exact path.
 	var ball []ballPoint
-	rtree.WalkTreesWithin(e.trees, q2, func() float64 { return r2 * r2 }, func(id int32, sqd float64) bool {
+	e.tree.WalkWithin(q2, func() float64 { return r2 * r2 }, func(id int32, sqd float64) bool {
 		eid := kg.EntityID(id)
 		if skip(eid) {
 			return true
@@ -279,12 +272,11 @@ func (e *Engine) aggregate(q1 []float64, q AggQuery, skip func(kg.EntityID) bool
 	// v_m: prefer contour-element statistics (max |v| among elements
 	// overlapping the ball), fall back to the sample maximum.
 	vm := e.tailMaxAbs(q2, r2, attrIdx, ball[:a], q.Kind)
-	e.runlockShards()
 	tr.Step(obs.StageRefine)
 
 	// Crack the index for this query region: aggregate queries shape the
 	// index exactly as top-k queries do. finishQuery releases the read lock
-	// and only write-locks the shards the region still needs to split.
+	// and takes the write lock only if the region still needs splits.
 	e.finishQuery(rtree.BallRect(q2, r2), true, tr)
 
 	res := &AggResult{Accessed: a, BallSize: b, VM: vm}
@@ -310,9 +302,7 @@ func (e *Engine) aggregate(q1 []float64, q AggQuery, skip func(kg.EntityID) bool
 		// absent element bound (-Inf) must not drag a real estimate down.
 		est, ok := estimateMax(ball[:a], false)
 		e.mu.RLock()
-		e.rlockShards()
 		eb := e.elementBound(q2, r2, attrIdx, false)
-		e.runlockShards()
 		e.mu.RUnlock()
 		switch {
 		case ok && !math.IsInf(eb, -1):
@@ -326,9 +316,7 @@ func (e *Engine) aggregate(q1 []float64, q AggQuery, skip func(kg.EntityID) bool
 	case Min:
 		est, ok := estimateMax(ball[:a], true)
 		e.mu.RLock()
-		e.rlockShards()
 		eb := e.elementBound(q2, r2, attrIdx, true)
-		e.runlockShards()
 		e.mu.RUnlock()
 		switch {
 		case ok && !math.IsInf(eb, 1):
@@ -359,7 +347,7 @@ func (e *Engine) elementBound(q2 []float64, radius float64, attrIdx int, isMin b
 	if attrIdx < 0 {
 		return best
 	}
-	for _, s := range e.contourOverlap(q2, radius) {
+	for _, s := range e.tree.ContourOverlap(q2, radius) {
 		if s.MaxDist > radius {
 			continue // only partially inside; membership uncertain
 		}
@@ -391,15 +379,15 @@ func jlInverseBias(alpha int) float64 {
 }
 
 // nearestDist returns the S1 distance of the closest non-skipped entity to
-// q1, probing the first few non-skipped points of the merged S2 walk. The
-// walk order is structure-independent, so sharded and unsharded engines
-// probe the same points and derive the same ball radius. The caller must
-// hold the engine read lock and every shard read lock.
+// q1, probing the first few non-skipped points of the S2 walk. The walk
+// order is structure-independent, so differently cracked trees probe the
+// same points and derive the same ball radius. The caller must hold the
+// engine read lock.
 func (e *Engine) nearestDist(q1, q2 []float64, skip func(kg.EntityID) bool) float64 {
 	const probe = 8
 	best := math.Inf(1)
 	seen := 0
-	rtree.WalkTreesWithin(e.trees, q2, func() float64 { return math.Inf(1) },
+	e.tree.WalkWithin(q2, func() float64 { return math.Inf(1) },
 		func(id int32, _ float64) bool {
 			eid := kg.EntityID(id)
 			if skip(eid) {
@@ -423,7 +411,7 @@ func (e *Engine) tailMaxAbs(q2 []float64, r2 float64, attrIdx int, accessed []ba
 		return 1
 	}
 	vm := 0.0
-	for _, s := range e.contourOverlap(q2, r2) {
+	for _, s := range e.tree.ContourOverlap(q2, r2) {
 		if attrIdx < len(s.Attrs) && s.Attrs[attrIdx].Count > 0 {
 			if s.Attrs[attrIdx].MaxAbs > vm {
 				vm = s.Attrs[attrIdx].MaxAbs

@@ -77,6 +77,20 @@ func (c *resultCache) get(key topkKey, gen uint64) (*TopKResult, bool) {
 	return ent.res, true
 }
 
+// peek is get without touching the hit/miss counters or dropping stale
+// entries: a second look at a key whose miss has already been counted.
+func (c *resultCache) peek(key topkKey, gen uint64) (*TopKResult, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ele, ok := c.m[key]; ok {
+		if ent := ele.Value.(*cacheEntry); ent.gen == gen {
+			c.ll.MoveToFront(ele)
+			return ent.res, true
+		}
+	}
+	return nil, false
+}
+
 func (c *resultCache) put(key topkKey, gen uint64, res *TopKResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

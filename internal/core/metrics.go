@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"runtime/metrics"
-	"strconv"
 
 	"vkgraph/internal/obs"
 	"vkgraph/internal/rtree"
@@ -50,13 +49,6 @@ type engineMetrics struct {
 	lockReadWait  *obs.Histogram // seconds waiting to acquire the read lock
 	lockWriteWait *obs.Histogram // seconds waiting to acquire a write lock
 
-	// Per-shard crack-lock contention, indexed by shard. shardWriteWait[i]
-	// observes the wait to acquire shard i's write lock; shardCrackLock[i]
-	// the time holding it to crack. Their totals sum to the unlabeled
-	// crackLock/lockWriteWait crack-path observations.
-	shardWriteWait []*obs.Histogram
-	shardCrackLock []*obs.Histogram
-
 	// walFsync observes every durability barrier the WAL writer issues
 	// (per-append under WALSyncAlways, per-tick under WALSyncInterval).
 	walFsync *obs.Histogram
@@ -102,14 +94,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 
 	m.lockReadWait = r.Histogram("vkg_lock_wait_seconds", "Time waiting to acquire the engine lock, by mode.", nil, obs.Label{Key: "mode", Value: "read"})
 	m.lockWriteWait = r.Histogram("vkg_lock_wait_seconds", "Time waiting to acquire the engine lock, by mode.", nil, obs.Label{Key: "mode", Value: "write"})
-
-	m.shardWriteWait = make([]*obs.Histogram, len(e.shards))
-	m.shardCrackLock = make([]*obs.Histogram, len(e.shards))
-	for i := range e.shards {
-		lbl := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
-		m.shardWriteWait[i] = r.Histogram("vkg_shard_lock_wait_seconds", "Time waiting to acquire a shard's write lock to crack, by shard.", nil, lbl)
-		m.shardCrackLock[i] = r.Histogram("vkg_shard_crack_lock_seconds", "Time holding a shard's write lock to crack, by shard.", nil, lbl)
-	}
 
 	stats := func(f func(obs.TraceStoreStats) uint64) func() uint64 {
 		return func() uint64 { return f(e.traces.Stats()) }
@@ -165,7 +149,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 
 	// Memory-layout gauges: the observable form of the "flat GC profile"
 	// claim — packed mirror size, arena occupancy, resident points, and the
-	// runtime's GC pause tail. The arena and point gauges are O(shards).
+	// runtime's GC pause tail.
 	r.GaugeFunc("vkg_mem_packed_bytes", "Bytes held by the packed float32 coordinate mirror (0 when PackedCoords is off).", func() float64 {
 		return float64(e.PackedBytes())
 	})
@@ -183,43 +167,15 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		return float64(free)
 	}, obs.Label{Key: "state", Value: "free"})
 	r.GaugeFunc("vkg_gc_pause_p99_seconds", "99th-percentile stop-the-world GC pause since process start (runtime/metrics).", gcPauseP99)
-	for i := range e.shards {
-		r.GaugeFunc("vkg_shard_packed_bytes", "Packed coordinate bytes attributed to a shard's live points, by shard.",
-			e.shardPackedBytesFunc(i), obs.Label{Key: "shard", Value: strconv.Itoa(i)})
-	}
 	return m
 }
 
-// arenaNodes sums arena occupancy across shards under the read locks.
+// arenaNodes reports the tree's arena occupancy under the read lock.
 func (e *Engine) arenaNodes() (inUse, free int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	e.rlockShards()
-	defer e.runlockShards()
-	for _, sh := range e.shards {
-		u, f, _ := sh.tree.ArenaStats()
-		inUse += u
-		free += f
-	}
+	inUse, free, _ = e.tree.ArenaStats()
 	return inUse, free
-}
-
-// shardPackedBytesFunc attributes the shared packed mirror to shard i in
-// proportion to the points it owns (the mirror itself is one block over the
-// whole PointSet; see Engine.PackedBytes for the unsplit total).
-func (e *Engine) shardPackedBytesFunc(i int) func() float64 {
-	return func() float64 {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		if !e.ps.Packed() {
-			return 0
-		}
-		sh := e.shards[i]
-		sh.mu.RLock()
-		owned := sh.tree.OwnedPoints()
-		sh.mu.RUnlock()
-		return float64(owned * e.ps.Dim * 4)
-	}
 }
 
 // gcPauseP99 reads the runtime's GC pause histogram and returns its 99th
@@ -304,14 +260,8 @@ type MetricsSnapshot struct {
 	ReadLockWait  obs.HistSnapshot
 	WriteLockWait obs.HistSnapshot
 
-	// Shards is the spatial shard count; the two slices are indexed by
-	// shard and hold the per-shard crack-lock wait and hold times.
-	Shards         int
-	ShardWriteWait []obs.HistSnapshot
-	ShardCrackLock []obs.HistSnapshot
-
-	// Memory layout: the packed-mirror size, node-arena occupancy summed
-	// over shards, resident point count, and the runtime's GC pause tail —
+	// Memory layout: the packed-mirror size, node-arena occupancy, resident
+	// point count, and the runtime's GC pause tail —
 	// the observable side of the packed/arena storage.
 	PackedBytes     int
 	ArenaNodesInUse int
@@ -339,12 +289,6 @@ type MetricsSnapshot struct {
 func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 	m := e.met
 	cs := e.CacheStats()
-	sww := make([]obs.HistSnapshot, len(m.shardWriteWait))
-	scl := make([]obs.HistSnapshot, len(m.shardCrackLock))
-	for i := range sww {
-		sww[i] = m.shardWriteWait[i].Snapshot()
-		scl[i] = m.shardCrackLock[i].Snapshot()
-	}
 	arenaInUse, arenaFree := e.arenaNodes()
 	e.mu.RLock()
 	packedBytes, resident := e.ps.PackedBytes(), e.ps.N()
@@ -374,9 +318,6 @@ func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 		Coalesced:          m.sfCoalesced.Value(),
 		ReadLockWait:       m.lockReadWait.Snapshot(),
 		WriteLockWait:      m.lockWriteWait.Snapshot(),
-		Shards:             len(e.shards),
-		ShardWriteWait:     sww,
-		ShardCrackLock:     scl,
 		PackedBytes:        packedBytes,
 		ArenaNodesInUse:    arenaInUse,
 		ArenaNodesFree:     arenaFree,

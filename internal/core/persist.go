@@ -28,16 +28,10 @@ import (
 // model are intact, so a cold cracking index is rebuilt and only the
 // workload-paid-for shape is lost (Engine.IndexRebuilt reports this).
 //
-// Format versions: version 1 stored a single tree blob in the index
-// section; version 2 stores a wireSharded envelope — the shard router's
-// Morton frame plus one embedded tree blob per shard; version 3 is the
-// same envelope with the embedded tree blobs written in the rtree flat
-// format (and Params carrying the PackedCoords flag — the packed float32
-// mirror itself is derived data and is rebuilt on load, never persisted).
-// Version-1 and version-2 snapshots are still read (v1 loads as a
-// single-shard engine; v2 Params gob-decode with PackedCoords=false, so
-// old snapshots keep their exact pre-upgrade behavior); new snapshots are
-// always written at version 3.
+// Only format version 3 is read and written; any other version fails with
+// snapfmt.ErrVersion. Its index section is a wireIndex envelope around one
+// tree blob in the rtree flat format. Params carry the PackedCoords flag;
+// the packed float32 mirror itself is derived data, rebuilt on load.
 
 const (
 	engineMagic   = "VKGSNAP\x00"
@@ -71,10 +65,11 @@ type wireMeta struct {
 	EffAttrs []string
 }
 
-// wireSharded is the version-2 index section: the routing frame (which must
-// be persisted — re-deriving it from grown data would re-route points), the
-// engine-wide query count, and one rtree blob per shard.
-type wireSharded struct {
+// wireIndex is the index section: the engine's frame, the indexed-query
+// count, and the tree blob. The envelope once held one tree per spatial
+// cell of a 2^Bits split; this version writes Bits = 0 with exactly one
+// tree and treats any other shape as index damage (a cold rebuild).
+type wireIndex struct {
 	Bits             int
 	FrameLo, FrameHi []float64
 	Queries          int64
@@ -82,15 +77,13 @@ type wireSharded struct {
 }
 
 // Save writes the engine (graph, model, parameters, index shape) to w. It
-// runs under the engine read lock plus every shard read lock, so snapshots
-// are consistent and may run concurrently with queries; updates and cracks
-// wait until the snapshot is encoded.
+// runs under the engine read lock, so snapshots are consistent and may run
+// concurrently with queries; updates and cracks wait until the snapshot is
+// encoded.
 func (e *Engine) Save(w io.Writer) error {
-	e.prepareIndex() // materialize the lazy roots before going read-only
+	e.prepareIndex() // materialize the lazy root before going read-only
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	e.rlockShards()
-	defer e.runlockShards()
 	// Standalone saves carry WalGen 0: no log is ever keyed to them, so a
 	// stray .wal file beside a copied snapshot can never be replayed onto
 	// it. Only SaveFile's rotation path writes a nonzero generation.
@@ -98,8 +91,8 @@ func (e *Engine) Save(w io.Writer) error {
 }
 
 // saveLocked encodes the snapshot; the caller holds the engine read lock
-// and every shard read lock (so no mutation or crack can interleave), and
-// passes the WAL generation to stamp into the meta section.
+// (so no mutation or crack can interleave) and passes the WAL generation to
+// stamp into the meta section.
 func (e *Engine) saveLocked(w io.Writer, walGen uint64) error {
 	var metaBuf, graphBuf, modelBuf, treeBuf bytes.Buffer
 	meta := wireMeta{Params: e.params, Mode: e.mode, WalGen: walGen, EffAttrs: e.ps.AttrNames()}
@@ -112,16 +105,12 @@ func (e *Engine) saveLocked(w io.Writer, walGen uint64) error {
 	if err := e.m.Save(&modelBuf); err != nil {
 		return fmt.Errorf("core: saving model: %w", err)
 	}
-	ws := wireSharded{Bits: e.router.Bits(), Queries: e.idxQueries.Load()}
-	ws.FrameLo, ws.FrameHi = e.router.Frame()
-	for i, sh := range e.shards {
-		var b bytes.Buffer
-		if err := sh.tree.Save(&b); err != nil {
-			return fmt.Errorf("core: saving index shard %d: %w", i, err)
-		}
-		ws.Trees = append(ws.Trees, b.Bytes())
+	var tb bytes.Buffer
+	if err := e.tree.Save(&tb); err != nil {
+		return fmt.Errorf("core: saving index: %w", err)
 	}
-	if err := gob.NewEncoder(&treeBuf).Encode(ws); err != nil {
+	wi := wireIndex{FrameLo: e.frame.Lo, FrameHi: e.frame.Hi, Queries: e.idxQueries.Load(), Trees: [][]byte{tb.Bytes()}}
+	if err := gob.NewEncoder(&treeBuf).Encode(wi); err != nil {
 		return fmt.Errorf("core: saving index: %w", err)
 	}
 	if err := snapfmt.WriteHeader(w, engineMagic, engineVersion, engineSections); err != nil {
@@ -159,6 +148,9 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	version, _, err := snapfmt.ReadHeader(r, engineMagic, engineVersion)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	if version != engineVersion {
+		return nil, fmt.Errorf("core: snapshot version %d (only %d is supported): %w", version, engineVersion, snapfmt.ErrVersion)
 	}
 	var meta wireMeta
 	sections := make(map[uint8][]byte, engineSections)
@@ -222,84 +214,52 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		ps.RegisterAttr(name, col)
 	}
 
-	var (
-		router  *rtree.ShardRouter
-		trees   []*rtree.Tree
-		queries int64
-	)
-	if treeErr == nil {
-		if version >= 2 {
-			router, trees, queries, treeErr = decodeShardedIndex(sections[secTree], ps)
-		} else {
-			// Version 1: a single raw tree blob; the engine comes up
-			// unsharded regardless of what the current default would be.
-			var t *rtree.Tree
-			t, treeErr = rtree.Load(bytes.NewReader(sections[secTree]), ps)
-			if treeErr == nil {
-				router = rtree.NewShardRouter(ps, ps.N(), 0)
-				trees = []*rtree.Tree{t}
-				queries = int64(t.Stats().Queries)
-			}
-		}
-	}
-
 	e := &Engine{
 		g:            g,
 		m:            m,
 		tf:           tf,
 		ps:           ps,
 		layout:       newS1Layout(m, coords, p.Alpha),
+		params:       p,
 		mode:         meta.Mode,
 		droppedAttrs: droppedAttrs,
 		snapGen:      meta.WalGen,
 	}
+	if treeErr == nil {
+		treeErr = e.decodeIndex(sections[secTree])
+	}
 	if treeErr != nil {
 		// Graph and model survived; rebuild a cold index rather than fail.
 		e.degraded = true
-		p.Shards = resolveShards(p.Shards, meta.Mode)
-		e.params = p
 		e.buildIndex()
-	} else {
-		p.Shards = len(trees)
-		e.params = p
-		e.router = router
-		e.shards = make([]*engineShard, len(trees))
-		for i, t := range trees {
-			e.shards[i] = &engineShard{tree: t}
-		}
-		e.trees = trees
-		e.idxQueries.Store(queries)
 	}
 	e.initExec()
 	return e, nil
 }
 
-// decodeShardedIndex unpacks the version-2 index section: the router frame
-// and one tree per shard. Any inconsistency (bad envelope, shard count not
-// matching the prefix length, per-shard blob damage) is reported as corrupt
-// so LoadEngine degrades to a cold rebuild.
+// decodeIndex unpacks the index section into the engine's tree, frame, and
+// query count. Any inconsistency (bad envelope, a shape other than Bits = 0
+// with one tree, blob damage) is reported as corrupt so LoadEngine
+// degrades to a cold rebuild.
 //
-// walappend:allow — decodes a snapshot's already-durable trees; runs
-// before the WAL arms.
-func decodeShardedIndex(payload []byte, ps *rtree.PointSet) (*rtree.ShardRouter, []*rtree.Tree, int64, error) {
-	var ws wireSharded
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ws); err != nil {
-		return nil, nil, 0, fmt.Errorf("core: decode index: %v: %w", err, snapfmt.ErrCorrupt)
+// walappend:allow — decodes a snapshot's already-durable tree; runs before
+// the WAL arms.
+func (e *Engine) decodeIndex(payload []byte) error {
+	var wi wireIndex
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wi); err != nil {
+		return fmt.Errorf("core: decode index: %v: %w", err, snapfmt.ErrCorrupt)
 	}
-	if ws.Bits < 0 || ws.Bits > 31 || len(ws.Trees) != 1<<ws.Bits ||
-		len(ws.FrameLo) != ps.Dim || len(ws.FrameHi) != ps.Dim {
-		return nil, nil, 0, fmt.Errorf("core: malformed index section: %w", snapfmt.ErrCorrupt)
+	if wi.Bits != 0 || len(wi.Trees) != 1 || len(wi.FrameLo) != e.ps.Dim || len(wi.FrameHi) != e.ps.Dim {
+		return fmt.Errorf("core: malformed index section: %w", snapfmt.ErrCorrupt)
 	}
-	router := rtree.RouterFromFrame(ws.FrameLo, ws.FrameHi, ws.Bits)
-	trees := make([]*rtree.Tree, 0, len(ws.Trees))
-	for i, blob := range ws.Trees {
-		t, err := rtree.Load(bytes.NewReader(blob), ps)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("core: index shard %d: %w", i, err)
-		}
-		trees = append(trees, t)
+	t, err := rtree.Load(bytes.NewReader(wi.Trees[0]), e.ps)
+	if err != nil {
+		return fmt.Errorf("core: index: %w", err)
 	}
-	return router, trees, ws.Queries, nil
+	e.tree = t
+	e.frame = rtree.Rect{Lo: wi.FrameLo, Hi: wi.FrameHi}
+	e.idxQueries.Store(wi.Queries)
+	return nil
 }
 
 func haveCoreSections(sections map[uint8][]byte) bool {
@@ -319,7 +279,7 @@ func haveCoreSections(sections map[uint8][]byte) bool {
 // rotates the log: the snapshot is stamped with the next generation,
 // renamed into place, and the log is atomically replaced with an empty one
 // keyed to that generation — all inside one critical section (engine read
-// lock + shard read locks + WAL mutex) so no append can land in the old
+// lock + WAL mutex) so no append can land in the old
 // log after the snapshot that supersedes it, and no mutation can fall in
 // the gap between snapshot and rotation. A crash between the two renames
 // leaves the new snapshot with the old generation's log beside it; the
@@ -329,8 +289,6 @@ func (e *Engine) SaveFile(path string) error {
 	e.prepareIndex()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	e.rlockShards()
-	defer e.runlockShards()
 	e.wal.mu.Lock()
 	defer e.wal.mu.Unlock()
 	if e.wal.configured && path == e.wal.snapPath {

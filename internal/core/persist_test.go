@@ -88,15 +88,18 @@ func TestLoadEngineTypedErrors(t *testing.T) {
 		}
 	}
 
-	// Bumped format version.
-	bad := append([]byte(nil), snap...)
-	binary.LittleEndian.PutUint16(bad[snapfmt.MagicLen:], engineVersion+1)
-	if _, err := LoadEngine(bytes.NewReader(bad)); !errors.Is(err, snapfmt.ErrVersion) {
-		t.Errorf("future version: got %v, want errors.Is ErrVersion", err)
+	// Past and future format versions: versions 1 and 2 (single raw tree
+	// blob; recursive-gob tree blobs) are no longer read.
+	for _, v := range []uint16{1, 2, engineVersion + 1} {
+		bad := append([]byte(nil), snap...)
+		binary.LittleEndian.PutUint16(bad[snapfmt.MagicLen:], v)
+		if _, err := LoadEngine(bytes.NewReader(bad)); !errors.Is(err, snapfmt.ErrVersion) {
+			t.Errorf("version %d: got %v, want errors.Is ErrVersion", v, err)
+		}
 	}
 
 	// Bit rot in an unrecoverable section (the graph) fails the load.
-	bad = append([]byte(nil), snap...)
+	bad := append([]byte(nil), snap...)
 	bad[graphStart+graphLen/3] ^= 0x10
 	if _, err := LoadEngine(bytes.NewReader(bad)); !errors.Is(err, snapfmt.ErrCorrupt) {
 		t.Errorf("corrupt graph: got %v, want errors.Is ErrCorrupt", err)

@@ -294,6 +294,20 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 			return nil, tr, ctx.Err()
 		}
 	}
+	// A leader for key that finished between the cache miss above and taking
+	// sfMu has already stored its answer (it puts before leaving e.inflight):
+	// share that execution rather than run the query a second time.
+	if res, ok := e.cache.peek(key, gen); ok {
+		e.sfMu.Unlock()
+		e.met.sfCoalesced.Inc()
+		if tr != nil {
+			tr.Coalesced = true
+			tr.Step(obs.StageWait)
+			tr.Finish()
+			e.noteSlow(tr, "topk", nil, desc)
+		}
+		return res, tr, nil
+	}
 	// The leader's trace id is published in the call slot before it becomes
 	// visible, so every follower can link to it.
 	c := &inflightCall{done: make(chan struct{}), leader: tr.TraceID()}

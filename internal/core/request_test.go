@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -118,11 +119,12 @@ func TestCoalescedFollowerLinksLeader(t *testing.T) {
 	}
 }
 
-// TestTraceShardSpansAndPropagation pins the shard-level span tree and
-// inbound context adoption: the first query on a fresh engine cracks, so
-// its trace carries per-shard child spans hanging off the query span, and a
-// request carrying inbound trace context adopts the id and parent span.
-func TestTraceShardSpansAndPropagation(t *testing.T) {
+// TestTraceCrackFieldsAndPropagation pins the crack stage's trace fields
+// and inbound context adoption: the first query on a fresh engine cracks,
+// so its trace carries the crack's write-lock wait and hold time and its
+// structural deltas, and a request carrying inbound trace context adopts
+// the id and parent span.
+func TestTraceCrackFieldsAndPropagation(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[0]
@@ -146,36 +148,48 @@ func TestTraceShardSpansAndPropagation(t *testing.T) {
 	if tr.ParentSpan() != inboundSpan {
 		t.Fatalf("parent span %x, want inbound span %x", tr.ParentSpan(), inboundSpan)
 	}
-	if len(tr.Shards) == 0 {
-		t.Fatal("first query on a fresh engine cracked no shards; no shard spans recorded")
+	if tr.Splits == 0 || tr.NodesCreated == 0 {
+		t.Fatalf("first query on a fresh engine reports splits=%d nodes=%d, want both > 0", tr.Splits, tr.NodesCreated)
 	}
-	totalSplits := 0
-	for _, sp := range tr.Shards {
-		if sp.Parent != tr.SpanID() {
-			t.Fatalf("shard span parent %x, want query span %x", sp.Parent, tr.SpanID())
-		}
-		if sp.Span.IsZero() || sp.Span == tr.SpanID() {
-			t.Fatalf("shard span id %x must be fresh and non-zero", sp.Span)
-		}
-		if sp.Stage != obs.StageCrack {
-			t.Fatalf("shard span stage %q, want %q", sp.Stage, obs.StageCrack)
-		}
-		if sp.Shard < 0 || sp.Shard >= len(eng.shards) {
-			t.Fatalf("shard span names shard %d of %d", sp.Shard, len(eng.shards))
-		}
-		totalSplits += sp.Splits
+	if tr.CrackLockHeld <= 0 {
+		t.Fatalf("crack lock hold %v, want > 0 for a query that split", tr.CrackLockHeld)
 	}
-	if totalSplits == 0 {
-		t.Error("crack spans report zero splits on a fresh engine")
+	if tr.CrackLockWait < 0 {
+		t.Fatalf("crack lock wait %v is negative", tr.CrackLockWait)
 	}
-	// The forced trace is retained and renders with its shard anatomy.
+	ms := eng.MetricsSnapshot()
+	if ms.CrackSplits != uint64(tr.Splits) || ms.CrackNodesCreated != uint64(tr.NodesCreated) {
+		t.Fatalf("trace (splits=%d nodes=%d) disagrees with engine counters (%d, %d)",
+			tr.Splits, tr.NodesCreated, ms.CrackSplits, ms.CrackNodesCreated)
+	}
+	if ms.CrackWriteLock.Count != 1 || ms.WriteLockWait.Count != 1 {
+		t.Fatalf("crack lock histograms hold %d hold and %d wait observations, want 1 each",
+			ms.CrackWriteLock.Count, ms.WriteLockWait.Count)
+	}
+
+	// A repeat of the same query (past the cache) finds its region warm:
+	// no lock, no splits.
+	eng.ResetCache()
+	warm := eng.Do(context.Background(), Request{
+		Kind: KindTopK, Dir: DirTail, Entity: u, Rel: likes, K: 5, Trace: true,
+	})
+	if warm.Err != nil {
+		t.Fatal(warm.Err)
+	}
+	if wt := warm.Trace; wt.CacheHit || wt.Splits != 0 || wt.CrackLockHeld != 0 || wt.CrackLockWait != 0 {
+		t.Fatalf("warm repeat reports crack work: splits=%d held=%v wait=%v", wt.Splits, wt.CrackLockHeld, wt.CrackLockWait)
+	}
+
+	// The forced trace is retained and renders the crack fields under the
+	// crack stage.
 	recs := eng.Traces().Find(inboundID)
 	if len(recs) != 1 {
 		t.Fatalf("trace store retained %d records, want 1", len(recs))
 	}
 	var sb strings.Builder
 	obs.RenderTraceText(&sb, inboundID, recs)
-	if out := sb.String(); !strings.Contains(out, "shard") {
-		t.Errorf("rendered trace missing shard spans:\n%s", out)
+	want := fmt.Sprintf("splits=%d nodes=%d", tr.Splits, tr.NodesCreated)
+	if out := sb.String(); !strings.Contains(out, "lock-wait=") || !strings.Contains(out, want) {
+		t.Errorf("rendered trace missing crack fields %q:\n%s", want, out)
 	}
 }

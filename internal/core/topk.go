@@ -91,25 +91,23 @@ func (e *Engine) topKQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, k int, e
 // findTopK implements FindTopKEntities (Algorithm 3):
 //
 //  1. q <- the query point in S2;
-//  2. seed the top-k with the first k eligible points of the merged
-//     best-first walk — the exact k nearest in S2, regardless of which
-//     shard holds them — and set the radius r_q = r_k* (1+eps), with r_k*
-//     measured in S1;
+//  2. seed the top-k with the first k eligible points of the best-first
+//     walk — the exact k nearest in S2 — and set the radius
+//     r_q = r_k* (1+eps), with r_k* measured in S1;
 //  3. keep examining the walk's points (they arrive in increasing S2
 //     distance), refining the top-k and shrinking r_q as better S1
 //     distances arrive; the radius is non-increasing, so the walk's bound
 //     check stops exactly at the current radius;
-//  4. hand the final query region back to the caller, which cracks every
-//     shard it overlaps (under the shard write locks) if still needed.
+//  4. hand the final query region back to the caller, which cracks the
+//     index (under the engine write lock) if still needed.
 //
 // The walk visits points in ascending (S2 distance, id) order — a total
-// order independent of the tree structure — so a sharded engine returns
-// bit-identical predictions to an unsharded one.
+// order independent of the tree structure — so the predictions do not
+// depend on how far the index has been cracked.
 //
-// findTopK runs entirely under the engine read lock (held by the caller),
-// takes all shard read locks for the walk, and never mutates the engine; it
-// returns the final query region and whether the caller should complete the
-// cracking step.
+// findTopK runs entirely under the engine read lock (held by the caller)
+// and never mutates the engine; it returns the final query region and
+// whether the caller should complete the cracking step.
 func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityID) bool, tr *obs.QueryTrace) (*TopKResult, rtree.Rect, bool) {
 	res := &TopKResult{}
 	if k <= 0 || e.ps.N() == 0 {
@@ -132,8 +130,7 @@ func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityI
 	}
 	l1 := e.m.NormUsed == embedding.L1
 	pruned := 0
-	e.rlockShards()
-	rtree.WalkTreesWithin(e.trees, q2, bound, func(id32 int32, _ float64) bool {
+	e.tree.WalkWithin(q2, bound, func(id32 int32, _ float64) bool {
 		id := kg.EntityID(id32)
 		if skip(id) {
 			return true
@@ -159,7 +156,6 @@ func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityI
 		}
 		return true
 	})
-	e.runlockShards()
 	tr.Step(obs.StageSearch)
 	if top.len() == 0 {
 		res.RecallBound = 1

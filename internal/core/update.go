@@ -200,7 +200,7 @@ func (e *Engine) insertEntityLocked(name, typ string, facts []Fact, attrNames []
 
 	p2 := e.tf.Apply(vec)
 	pid := e.ps.AppendPoint(p2)
-	e.shards[e.router.ShardOf(p2)].tree.Insert(pid)
+	e.tree.Insert(pid)
 	e.layout.appendRow(vec)
 	e.gen.Add(1) // the new entity may belong in any cached answer
 	return id, nil

@@ -31,14 +31,12 @@ import (
 // append order reproduces the tree byte for byte (StructureHash equality is
 // the tested contract).
 //
-// Lock discipline: the WAL mutex is a leaf, always acquired last. Crack
-// records are appended under the cracked shard's write lock (which the
-// engine read lock protects), so per-shard file order matches per-shard
-// apply order; graph mutations append under the engine write lock, which
-// excludes all cracks. SaveFile holds the engine read lock, every shard
-// read lock, and then the WAL mutex across snapshot-write plus log
-// rotation, so no record can land in the old log after the snapshot that
-// supersedes it.
+// Lock discipline: the WAL mutex is a leaf, always acquired last. Every
+// record — crack or graph mutation — is appended under the engine write
+// lock that serializes the change it logs, so file order is apply order.
+// SaveFile holds the engine read lock and then the WAL mutex across
+// snapshot-write plus log rotation, so no record can land in the old log
+// after the snapshot that supersedes it.
 //
 // Append errors are sticky: one failed append disarms logging (a gap would
 // make the suffix unreplayable), counts every subsequent lost record in
@@ -83,7 +81,7 @@ func (o WALOptions) normalized(snapPath string) WALOptions {
 // WAL record kinds. The payloads are versioned by walfmt's header version;
 // kinds are never reused.
 const (
-	walRecCrack   uint8 = 1 // shard uint32 LE + rect Lo,Hi float64 LE bits
+	walRecCrack   uint8 = 1 // uint32 LE (written 0, ignored: see walAppendCrack) + rect Lo,Hi float64 LE bits
 	walRecAddFact uint8 = 2 // h, r, t uint32 LE
 	walRecInsert  uint8 = 3 // gob(walInsertRec)
 	walRecSetAttr uint8 = 4 // gob(walSetAttrRec)
@@ -442,10 +440,8 @@ func (e *Engine) walSyncOnce() {
 
 // walAppend frames one record onto the log. Unarmed engines return on the
 // atomic fast path without locking. The caller must hold the lock that
-// serializes the mutation being logged (the engine write lock for graph
-// mutations, the cracked shard's write lock for cracks); wal.mu is a leaf
-// below both, so the file order of records matches their apply order
-// per shard and globally for graph mutations.
+// serializes the mutation being logged — the engine write lock; wal.mu is
+// a leaf below it, so the file order of records matches their apply order.
 func (e *Engine) walAppend(kind uint8, payload []byte) {
 	w := &e.wal
 	w.mu.Lock()
@@ -475,14 +471,17 @@ func (e *Engine) walAppend(kind uint8, payload []byte) {
 	}
 }
 
-func (e *Engine) walAppendCrack(shard int, q rtree.Rect) {
+// walAppendCrack logs a crack of query region q. The record's leading
+// uint32 once named the shard tree to crack; it is written as 0 so older
+// readers, which index their tree list by it, replay the record onto their
+// one tree.
+func (e *Engine) walAppendCrack(q rtree.Rect) {
 	if !e.wal.armed.Load() {
 		return
 	}
-	e.walcheckShardLocked(shard)
+	e.walcheckEngineLocked("crack")
 	dim := len(q.Lo)
 	p := make([]byte, 4+16*dim)
-	binary.LittleEndian.PutUint32(p[0:4], uint32(shard))
 	for i, v := range q.Lo {
 		binary.LittleEndian.PutUint64(p[4+8*i:], math.Float64bits(v))
 	}
@@ -556,16 +555,15 @@ func (e *Engine) applyWALRecord(rec walfmt.Record) error {
 		if len(rec.Payload) != 4+16*dim {
 			return fmt.Errorf("core: crack record of %d bytes, want %d", len(rec.Payload), 4+16*dim)
 		}
-		shard := binary.LittleEndian.Uint32(rec.Payload[0:4])
-		if int(shard) >= len(e.shards) {
-			return fmt.Errorf("core: crack record for shard %d of %d", shard, len(e.shards))
-		}
+		// The leading uint32 (a shard index in logs from sharded engines)
+		// is ignored: cracking the one tree with the recorded rect splits
+		// exactly the region that query needed.
 		q := rtree.Rect{Lo: make([]float64, dim), Hi: make([]float64, dim)}
 		for i := 0; i < dim; i++ {
 			q.Lo[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec.Payload[4+8*i:]))
 			q.Hi[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec.Payload[4+8*(dim+i):]))
 		}
-		e.shards[shard].tree.Crack(q)
+		e.tree.Crack(q)
 		return nil
 
 	case walRecAddFact:

@@ -5,11 +5,11 @@ package core
 import "fmt"
 
 // walcheckEngineLocked is the vkgdebug runtime counterpart of the
-// walappend static analyzer: a graph-mutation WAL record (AddFact,
-// InsertEntity, SetAttr) may only be appended while the engine write lock
-// serializes the mutation being logged — otherwise the file order of
-// records can diverge from their apply order and replay reconstructs a
-// different engine.
+// walappend static analyzer: a WAL record (crack, AddFact, InsertEntity,
+// SetAttr) may only be appended while the engine write lock serializes
+// the mutation being logged — otherwise the file order of records can
+// diverge from their apply order and replay reconstructs a different
+// engine.
 //
 // The check is a TryLock probe: if the write lock can be acquired here,
 // the caller did not hold it, and the append is a discipline violation —
@@ -21,19 +21,5 @@ func (e *Engine) walcheckEngineLocked(kind string) {
 	if e.mu.TryLock() {
 		e.mu.Unlock()
 		panic(fmt.Sprintf("core: %s WAL append without the engine write lock held", kind))
-	}
-}
-
-// walcheckShardLocked asserts the owning shard's write lock covers a
-// crack record append (finishQuery logs each crack while still holding
-// the shard it cracked — see the walappend analyzer and DESIGN.md).
-func (e *Engine) walcheckShardLocked(shard int) {
-	if shard < 0 || shard >= len(e.shards) {
-		panic(fmt.Sprintf("core: crack WAL append for out-of-range shard %d", shard))
-	}
-	sh := e.shards[shard]
-	if sh.mu.TryLock() {
-		sh.mu.Unlock()
-		panic(fmt.Sprintf("core: crack WAL append without shard %d's write lock held", shard))
 	}
 }

@@ -5,6 +5,3 @@ package core
 // walcheckEngineLocked is the release no-op of the append-under-lock
 // assertion; build with -tags vkgdebug for the checking version.
 func (e *Engine) walcheckEngineLocked(kind string) {}
-
-// walcheckShardLocked is the release no-op of the shard-lock assertion.
-func (e *Engine) walcheckShardLocked(shard int) {}

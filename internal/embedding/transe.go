@@ -273,16 +273,16 @@ func corrupt(g *kg.Graph, rng *rand.Rand, tr kg.Triple, nE int, headProb float64
 }
 
 // trainEpochParallel runs one SGD epoch with lock-free parallel updates
-// (Hogwild: Recht et al., 2011). Each worker owns a shard of the shuffled
+// (Hogwild: Recht et al., 2011). Each worker owns a chunk of the shuffled
 // order and its own RNG; vector updates race benignly.
 func trainEpochParallel(g *kg.Graph, m *Model, cfg Config, corruptHeadProb []float64, triples []kg.Triple, order []int, epoch int64) float64 {
 	nE := g.NumEntities()
 	workers := cfg.Workers
-	shard := (len(order) + workers - 1) / workers
+	chunk := (len(order) + workers - 1) / workers
 	lossCh := make(chan float64, workers)
 	for w := 0; w < workers; w++ {
-		lo := w * shard
-		hi := lo + shard
+		lo := w * chunk
+		hi := lo + chunk
 		if hi > len(order) {
 			hi = len(order)
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"vkgraph/internal/kg"
@@ -80,6 +81,10 @@ func TimeFigure(ds *Dataset, specs []MethodSpec, cfg TimeFigureConfig) ([]TimeRo
 		var row TimeRow
 		row.AvgQueries = cfg.AvgQueries
 		for rep := 0; rep < cfg.Repeats; rep++ {
+			// Collect the garbage of earlier phases (dataset load, the
+			// previous method's queries) first, so the timed build pays
+			// only for its own allocations.
+			runtime.GC()
 			r, err := NewRunner(ds, spec, cfg.Rel)
 			if err != nil {
 				return nil, fmt.Errorf("method %s: %w", spec.label(), err)

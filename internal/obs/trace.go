@@ -28,31 +28,6 @@ type Span struct {
 	Dur   time.Duration
 }
 
-// ShardSpan is one per-shard child span of a query trace: the crack step's
-// work on a single shard, parented under the query's span. It records the
-// wait for the shard's write lock, the time holding it, and the structural
-// deltas (splits performed, nodes created) attributable to this query on
-// this shard.
-type ShardSpan struct {
-	// Span identifies this child span; Parent is the owning query's span.
-	Span   SpanID
-	Parent SpanID
-	// Stage is the stage this child ran under (currently always "crack").
-	Stage string
-	// Shard is the spatial shard index.
-	Shard int
-	// Start is the offset from the beginning of the query.
-	Start time.Duration
-	// LockWait is the wait to acquire the shard's write lock; Dur the time
-	// holding it to crack.
-	LockWait time.Duration
-	Dur      time.Duration
-	// Splits and Nodes are the binary splits performed and index nodes
-	// created on this shard by this query.
-	Splits int
-	Nodes  int
-}
-
 // QueryTrace is an opt-in per-query breakdown: where the time went, stage
 // by stage, plus the cost counters the paper's analysis is stated in (node
 // accesses under Lemma 3 terms, candidates examined, bound-pruned
@@ -62,9 +37,9 @@ type ShardSpan struct {
 // A trace is one node of a request tree: it carries a 128-bit trace id
 // shared by every span of the request (minted fresh, or adopted from an
 // inbound traceparent header), its own span id, and the parent span it hangs
-// under (the HTTP request span, or a batch request's span). Per-shard crack
-// work appears as ShardSpan children; a coalesced follower links the leader
-// trace that actually executed the descent via LeaderTrace.
+// under (the HTTP request span, or a batch request's span). A coalesced
+// follower links the leader trace that actually executed the descent via
+// LeaderTrace.
 type QueryTrace struct {
 	start time.Time
 	mark  time.Time
@@ -76,9 +51,6 @@ type QueryTrace struct {
 
 	// Spans are the timed stages in execution order.
 	Spans []Span
-	// Shards are the per-shard crack child spans, in shard order (only the
-	// shards this query actually write-locked).
-	Shards []ShardSpan
 	// LeaderTrace links a coalesced follower to the trace of the in-flight
 	// execution it shared; zero otherwise. The leader may belong to a
 	// different request entirely — that cross-request edge is the point.
@@ -96,6 +68,10 @@ type QueryTrace struct {
 	// PrunedByBound counts candidates abandoned early because their partial
 	// S1 distance already exceeded the current kth bound.
 	PrunedByBound int
+	// CrackLockWait is how long the cracking step waited for the engine
+	// write lock and CrackLockHeld how long it held it to crack and log the
+	// split; both are 0 for a warm region, which never takes the lock.
+	CrackLockWait, CrackLockHeld time.Duration
 	// Splits is the number of binary splits this query's cracking step
 	// performed (0 for a warm region).
 	Splits int
@@ -166,24 +142,14 @@ func (t *QueryTrace) StartTime() time.Time {
 	return t.start
 }
 
-// AddShardSpan appends a per-shard crack child span: the crack step's work
-// on shard i, started at the given wall-clock time, with its lock wait,
-// write-lock hold, and structural deltas. No-op on a nil trace.
-func (t *QueryTrace) AddShardSpan(shard int, start time.Time, lockWait, held time.Duration, splits, nodes int) {
+// NoteCrack records the cracking step's write-lock wait and hold time and
+// its structural deltas. No-op on a nil trace.
+func (t *QueryTrace) NoteCrack(lockWait, held time.Duration, splits, nodes int) {
 	if t == nil {
 		return
 	}
-	t.Shards = append(t.Shards, ShardSpan{
-		Span:     NewSpanID(),
-		Parent:   t.span,
-		Stage:    StageCrack,
-		Shard:    shard,
-		Start:    start.Sub(t.start),
-		LockWait: lockWait,
-		Dur:      held,
-		Splits:   splits,
-		Nodes:    nodes,
-	})
+	t.CrackLockWait, t.CrackLockHeld = lockWait, held
+	t.Splits, t.NodesCreated = splits, nodes
 }
 
 // LinkLeader records the trace id of the in-flight execution a coalesced
@@ -225,8 +191,8 @@ func (t *QueryTrace) String() string {
 		parts = append(parts, fmt.Sprintf("%s %v", s.Stage, s.Dur.Round(time.Microsecond)))
 	}
 	suffix := ""
-	if len(t.Shards) > 0 {
-		suffix = fmt.Sprintf(" [%d shard cracks]", len(t.Shards))
+	if t.Splits > 0 {
+		suffix = fmt.Sprintf(" [%d crack splits]", t.Splits)
 	}
 	return fmt.Sprintf("%v (%s)%s", t.Wall.Round(time.Microsecond), strings.Join(parts, ", "), suffix)
 }

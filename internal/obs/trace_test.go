@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 func TestTraceNilSafe(t *testing.T) {
 	var tr *QueryTrace
 	tr.Step(StageSearch)
+	tr.NoteCrack(time.Millisecond, time.Millisecond, 1, 2)
 	tr.Finish()
 	if got := tr.String(); got != "<no trace>" {
 		t.Fatalf("String = %q", got)
@@ -63,5 +65,32 @@ func TestTraceString(t *testing.T) {
 	s := tr.String()
 	if !strings.Contains(s, StageCache) || !strings.Contains(s, StageSearch) {
 		t.Fatalf("String = %q, missing stage names", s)
+	}
+}
+
+// TestTraceRecordsRenderCrack: /traces/<id> explains a crack from the
+// query trace alone — the crack stage carries its write-lock wait and hold
+// time and its splits and nodes, in the text render and as a JSON object.
+func TestTraceRecordsRenderCrack(t *testing.T) {
+	tr := StartTrace()
+	tr.Step(StageSearch)
+	tr.NoteCrack(40*time.Microsecond, 90*time.Microsecond, 3, 6)
+	tr.Step(StageCrack)
+	tr.Finish()
+	recs := []TraceRecord{{ID: tr.TraceID(), Span: tr.SpanID(), Kind: "topk", Status: "ok", Trace: tr}}
+
+	var sb strings.Builder
+	RenderTraceText(&sb, tr.TraceID(), recs)
+	if out := sb.String(); !strings.Contains(out, "lock-wait=40µs held=90µs splits=3 nodes=6") {
+		t.Errorf("text render lacks the crack fields:\n%s", out)
+	}
+
+	w := httptest.NewRecorder()
+	WriteTraceRecords(w, tr.TraceID(), recs, "json")
+	out := w.Body.String()
+	for _, want := range []string{`"crack": {`, `"lock_wait_ms": 0.04`, `"held_ms": 0.09`, `"splits": 3`, `"nodes": 6`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("JSON render lacks %s:\n%s", want, out)
+		}
 	}
 }

@@ -26,7 +26,7 @@ type traceListEntry struct {
 func toListEntry(r TraceRecord) traceListEntry {
 	spans := 0
 	if r.Trace != nil {
-		spans = len(r.Trace.Spans) + len(r.Trace.Shards)
+		spans = len(r.Trace.Spans)
 	}
 	return traceListEntry{
 		TraceID:   r.ID.String(),
@@ -72,11 +72,7 @@ func WriteTraceRecords(w http.ResponseWriter, id TraceID, recs []TraceRecord, fo
 			StartMS float64 `json:"start_ms"`
 			MS      float64 `json:"ms"`
 		}
-		type jsonShard struct {
-			Span       string  `json:"span"`
-			Parent     string  `json:"parent"`
-			Shard      int     `json:"shard"`
-			StartMS    float64 `json:"start_ms"`
+		type jsonCrack struct {
 			LockWaitMS float64 `json:"lock_wait_ms"`
 			HeldMS     float64 `json:"held_ms"`
 			Splits     int     `json:"splits"`
@@ -84,11 +80,11 @@ func WriteTraceRecords(w http.ResponseWriter, id TraceID, recs []TraceRecord, fo
 		}
 		type jsonRec struct {
 			traceListEntry
-			Span        string      `json:"span,omitempty"`
-			Parent      string      `json:"parent,omitempty"`
-			LeaderTrace string      `json:"leader_trace,omitempty"`
-			Stages      []jsonSpan  `json:"stages,omitempty"`
-			Shards      []jsonShard `json:"shards,omitempty"`
+			Span        string     `json:"span,omitempty"`
+			Parent      string     `json:"parent,omitempty"`
+			LeaderTrace string     `json:"leader_trace,omitempty"`
+			Stages      []jsonSpan `json:"stages,omitempty"`
+			Crack       *jsonCrack `json:"crack,omitempty"`
 		}
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 		out := struct {
@@ -107,13 +103,10 @@ func WriteTraceRecords(w http.ResponseWriter, id TraceID, recs []TraceRecord, fo
 				}
 				for _, s := range tr.Spans {
 					jr.Stages = append(jr.Stages, jsonSpan{Stage: s.Stage, StartMS: ms(s.Start), MS: ms(s.Dur)})
-				}
-				for _, sh := range tr.Shards {
-					jr.Shards = append(jr.Shards, jsonShard{
-						Span: sh.Span.String(), Parent: sh.Parent.String(), Shard: sh.Shard,
-						StartMS: ms(sh.Start), LockWaitMS: ms(sh.LockWait), HeldMS: ms(sh.Dur),
-						Splits: sh.Splits, Nodes: sh.Nodes,
-					})
+					if s.Stage == StageCrack {
+						jr.Crack = &jsonCrack{LockWaitMS: ms(tr.CrackLockWait), HeldMS: ms(tr.CrackLockHeld),
+							Splits: tr.Splits, Nodes: tr.NodesCreated}
+					}
 				}
 			}
 			out.Records = append(out.Records, jr)
@@ -129,7 +122,8 @@ func WriteTraceRecords(w http.ResponseWriter, id TraceID, recs []TraceRecord, fo
 
 // RenderTraceText renders one trace's reassembled records as an indented
 // plain-text tree: request envelopes first, each engine query trace with its
-// stage spans and per-shard crack children beneath it.
+// stage spans beneath it and the crack stage's lock and split counters under
+// that stage.
 func RenderTraceText(w io.Writer, id TraceID, recs []TraceRecord) {
 	fmt.Fprintf(w, "trace %s  (%d record", id.String(), len(recs))
 	if len(recs) != 1 {
@@ -171,10 +165,8 @@ func RenderTraceText(w io.Writer, id TraceID, recs []TraceRecord) {
 		for _, s := range tr.Spans {
 			fmt.Fprintf(w, "  %-10s %10v\n", s.Stage, rnd(s.Dur))
 			if s.Stage == StageCrack {
-				for _, sh := range tr.Shards {
-					fmt.Fprintf(w, "    shard %-3d span=%s lock-wait=%v held=%v splits=%d nodes=%d\n",
-						sh.Shard, sh.Span, rnd(sh.LockWait), rnd(sh.Dur), sh.Splits, sh.Nodes)
-				}
+				fmt.Fprintf(w, "    lock-wait=%v held=%v splits=%d nodes=%d\n",
+					rnd(tr.CrackLockWait), rnd(tr.CrackLockHeld), tr.Splits, tr.NodesCreated)
 			}
 		}
 		if tr.CacheHit {

@@ -9,7 +9,7 @@
 //   - coordinates are quantized to 32-bit integers per dimension;
 //   - each trie level branches on the d-bit hypercube address formed by one
 //     bit from every dimension (requiring d <= 64, which holds for the
-//     paper's 50- and 100-d... 50-d default; 100-d callers must shard);
+//     paper's 50-d default; 100-d callers must split the vector);
 //   - single-point subtrees are stored as leaf entries, so chains of
 //     one-child nodes never form;
 //   - every node keeps the float MBR of its subtree, giving exact best-first

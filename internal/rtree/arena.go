@@ -27,7 +27,7 @@ type nodeArena struct {
 }
 
 // arenaSlabSize is the number of node records per slab: large enough that
-// slab overhead is noise, small enough that a tiny shard doesn't hold
+// slab overhead is noise, small enough that a tiny tree doesn't hold
 // megabytes.
 const arenaSlabSize = 256
 

@@ -45,14 +45,17 @@ func TestLoadDamagedSnapshots(t *testing.T) {
 		}
 	}
 
-	// Future format version: typed as ErrVersion, not ErrCorrupt.
-	var vbuf bytes.Buffer
-	if err := snapfmt.WriteHeader(&vbuf, treeMagic, treeVersion+1, 1); err != nil {
-		t.Fatal(err)
-	}
-	vbuf.Write(snap[snapfmt.MagicLen+4:])
-	if _, err := Load(&vbuf, ps); !errors.Is(err, snapfmt.ErrVersion) {
-		t.Errorf("future version: got %v, want errors.Is ErrVersion", err)
+	// Past and future format versions: typed as ErrVersion, not
+	// ErrCorrupt. Version 1 (the recursive gob format) is no longer read.
+	for _, v := range []uint16{1, treeVersion + 1} {
+		var vbuf bytes.Buffer
+		if err := snapfmt.WriteHeader(&vbuf, treeMagic, v, 1); err != nil {
+			t.Fatal(err)
+		}
+		vbuf.Write(snap[snapfmt.MagicLen+4:])
+		if _, err := Load(&vbuf, ps); !errors.Is(err, snapfmt.ErrVersion) {
+			t.Errorf("version %d: got %v, want errors.Is ErrVersion", v, err)
+		}
 	}
 
 	// Bit rot anywhere in the frame or payload fails the checksum (or the

@@ -89,18 +89,11 @@ type Tree struct {
 	// only through Insert.
 	initialN int
 
-	// initialIDs, when non-nil, restricts the lazy root to an explicit
-	// subset of the point set (a shard of a sharded engine); ensureRoot
-	// consumes it. A tree with nil initialIDs covers the first initialN
-	// points, as NewCracking always did.
-	initialIDs []int32
-
 	// owned counts the points this tree is responsible for: the initial
-	// points (all of the set, or the subset for a shard) plus everything
-	// Inserted, including current tombstones. The live count is
-	// owned - len(deleted); CheckInvariants verifies the contour covers
-	// exactly that, which stays meaningful when several trees share one
-	// PointSet.
+	// points plus everything Inserted, including current tombstones. The
+	// live count is owned - len(deleted); CheckInvariants verifies the
+	// contour covers exactly that, which stays meaningful for points
+	// appended to the PointSet but not (yet) Inserted.
 	owned int
 }
 
@@ -131,13 +124,7 @@ func (t *Tree) ensureRoot() {
 		t.root.leafIDs = []int32{}
 		return
 	}
-	var p *partition
-	if t.initialIDs != nil {
-		p = newPartitionFromIDs(t.ps, t.initialIDs)
-		t.initialIDs = nil
-	} else {
-		p = newRootPartition(t.ps, t.initialN)
-	}
+	p := newRootPartition(t.ps, t.initialN)
 	t.root = t.arena.alloc()
 	t.root.setMBR(p.mbr)
 	t.root.part = p
@@ -593,9 +580,8 @@ func (t *Tree) Stats() Stats {
 
 // CheckInvariants verifies the structural invariants the paper's lemmas rely
 // on: every node's MBR contains its contents; internal nodes have children;
-// the contour elements partition the tree's owned point set (Lemma 1 —
-// which is the full PointSet for an unsharded tree and the shard's subset
-// otherwise); leaves respect the capacity; pending partitions keep
+// the contour elements partition the tree's owned point set (Lemma 1);
+// leaves respect the capacity; pending partitions keep
 // consistent sort orders. Intended for tests; O(n log n).
 func (t *Tree) CheckInvariants() error {
 	t.ensureRoot()

@@ -31,14 +31,14 @@ func (t *Tree) WalkWithin(q []float64, bound func() float64, visit func(id int32
 }
 
 // WalkTreesWithin merges the best-first walks of several trees into one
-// ascending stream — the sharded index's ball walk. All trees must be built
-// over the same PointSet, already Ready (the engine prepares shards under
-// its write lock before serving), and share one AccessCounters sink. The
-// frontier is seeded with every root, so shards whose region is far from q
-// cost exactly one MBR distance check; the heap's deterministic ordering
-// makes the visit sequence ascending (distance, id) regardless of how the
-// points are partitioned into trees, which is what makes sharded and
-// unsharded engines return identical answers.
+// ascending stream. All trees must be built over the same PointSet and
+// already Ready; node accesses are flushed to the first tree's counters.
+// The frontier is seeded with every root, so a tree far from q costs one
+// MBR distance check, and the heap's deterministic ordering makes the visit
+// sequence ascending (distance, id) however the points are split between
+// the trees. The engine walks its one tree with WalkWithin; this entry
+// point serves callers holding several trees over one point set, such as
+// perfbench's layer replay.
 func WalkTreesWithin(trees []*Tree, q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {
 	if len(trees) == 1 {
 		trees[0].WalkWithin(q, bound, visit)
@@ -114,7 +114,7 @@ type walkHeap []walkItem
 // before any is visited) and point ties break by ascending id. The visit
 // order is therefore exactly ascending (distance, id) — a total order over
 // the data, independent of the tree structure — which keeps walks over
-// differently cracked (or differently sharded) trees bit-identical.
+// differently cracked trees bit-identical.
 func (h walkHeap) less(i, j int) bool {
 	if h[i].d != h[j].d {
 		return h[i].d < h[j].d

@@ -82,16 +82,9 @@ type Metrics struct {
 	Coalesced uint64
 
 	// ReadLockWait and WriteLockWait measure contention on the engine lock
-	// (WriteLockWait also folds in the per-shard crack-lock waits).
+	// (WriteLockWait includes the cracking path's write-lock waits).
 	ReadLockWait  LatencyStats
 	WriteLockWait LatencyStats
-
-	// Shards is the spatial shard count of the index (see WithShards);
-	// ShardWriteLockWait and ShardCrackLock break the cracking-path lock
-	// wait and hold times down by shard, indexed 0..Shards-1.
-	Shards             int
-	ShardWriteLockWait []LatencyStats
-	ShardCrackLock     []LatencyStats
 
 	// Memory is the memory-layout view of the index: how many bytes the
 	// packed coordinate mirror occupies, the node-arena occupancy, the
@@ -118,11 +111,11 @@ type Metrics struct {
 // and the DESIGN.md "Memory layout" section).
 type MemoryStats struct {
 	// PackedBytes is the size of the packed float32 coordinate mirror
-	// (0 when WithPackedCoords(false)). The mirror is shared by all shards.
+	// (0 when WithPackedCoords(false)).
 	PackedBytes int
-	// ArenaNodesInUse and ArenaNodesFree count tree-node arena records,
-	// summed over shards; free records are reusable capacity already paid
-	// for (freelist plus the unallocated tail of the newest slab).
+	// ArenaNodesInUse and ArenaNodesFree count tree-node arena records;
+	// free records are reusable capacity already paid for (freelist plus
+	// the unallocated tail of the newest slab).
 	ArenaNodesInUse int
 	ArenaNodesFree  int
 	// ResidentPoints is the number of S2 points held by the point set.
@@ -146,12 +139,6 @@ func (m Metrics) CacheHitRate() float64 {
 // atomic load at a time.
 func (v *VKG) Metrics() Metrics {
 	s := v.eng.MetricsSnapshot()
-	sww := make([]LatencyStats, len(s.ShardWriteWait))
-	scl := make([]LatencyStats, len(s.ShardCrackLock))
-	for i := range sww {
-		sww[i] = latencyStats(s.ShardWriteWait[i])
-		scl[i] = latencyStats(s.ShardCrackLock[i])
-	}
 	return Metrics{
 		TopKQueries:        s.TopKQueries,
 		AggregateQueries:   s.AggregateQueries,
@@ -175,9 +162,6 @@ func (v *VKG) Metrics() Metrics {
 		Coalesced:          s.Coalesced,
 		ReadLockWait:       latencyStats(s.ReadLockWait),
 		WriteLockWait:      latencyStats(s.WriteLockWait),
-		Shards:             s.Shards,
-		ShardWriteLockWait: sww,
-		ShardCrackLock:     scl,
 		Memory: MemoryStats{
 			PackedBytes:     s.PackedBytes,
 			ArenaNodesInUse: s.ArenaNodesInUse,
@@ -207,21 +191,6 @@ type TraceSpan struct {
 	Dur   time.Duration
 }
 
-// ShardSpan is one per-shard child span of a traced query: the crack step's
-// work on a single shard — the wait for the shard's write lock, the time
-// holding it, and the structural deltas attributed to this query.
-type ShardSpan struct {
-	Shard int
-	// Start is the offset from the beginning of the query.
-	Start time.Duration
-	// LockWait is the wait to acquire the shard's write lock; Held the time
-	// holding it to crack.
-	LockWait time.Duration
-	Held     time.Duration
-	Splits   int
-	Nodes    int
-}
-
 // QueryTrace is the per-query breakdown returned when Query.Trace is set:
 // where the time went, stage by stage, plus the cost counters the paper's
 // analysis is stated in. Stages are contiguous, so span durations sum to
@@ -233,9 +202,6 @@ type QueryTrace struct {
 	TraceID string
 	Wall    time.Duration
 	Spans   []TraceSpan
-	// Shards are the per-shard crack child spans (only shards the query
-	// actually write-locked).
-	Shards []ShardSpan
 	// LeaderTraceID links a coalesced query to the trace of the in-flight
 	// execution it shared; empty otherwise.
 	LeaderTraceID string
@@ -249,10 +215,13 @@ type QueryTrace struct {
 	// PrunedByBound those abandoned early by the kth-distance bound.
 	Examined      int
 	PrunedByBound int
-	// Splits and NodesCreated report this query's cracking work (0 for a
-	// warm region).
-	Splits       int
-	NodesCreated int
+	// CrackLockWait and CrackLockHeld are the cracking step's wait for the
+	// engine write lock and the time it held it; Splits and NodesCreated
+	// its structural work. All four are 0 for a warm region.
+	CrackLockWait time.Duration
+	CrackLockHeld time.Duration
+	Splits        int
+	NodesCreated  int
 	// Accessed and BallSize are a and b of an aggregate query (Theorem 4).
 	Accessed int
 	BallSize int
@@ -281,6 +250,8 @@ func convertTrace(tr *obs.QueryTrace) *QueryTrace {
 		Coalesced:     tr.Coalesced,
 		Examined:      tr.Examined,
 		PrunedByBound: tr.PrunedByBound,
+		CrackLockWait: tr.CrackLockWait,
+		CrackLockHeld: tr.CrackLockHeld,
 		Splits:        tr.Splits,
 		NodesCreated:  tr.NodesCreated,
 		Accessed:      tr.Accessed,
@@ -291,12 +262,6 @@ func convertTrace(tr *obs.QueryTrace) *QueryTrace {
 	}
 	for _, s := range tr.Spans {
 		out.Spans = append(out.Spans, TraceSpan{Stage: s.Stage, Start: s.Start, Dur: s.Dur})
-	}
-	for _, sh := range tr.Shards {
-		out.Shards = append(out.Shards, ShardSpan{
-			Shard: sh.Shard, Start: sh.Start, LockWait: sh.LockWait, Held: sh.Dur,
-			Splits: sh.Splits, Nodes: sh.Nodes,
-		})
 	}
 	return out
 }

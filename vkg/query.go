@@ -199,10 +199,9 @@ type IndexStats struct {
 	SizeBytes int
 	Height    int
 
-	// ArenaNodesInUse/Free count node-arena records summed over shards;
-	// ArenaBytes is the slab memory backing them. PackedBytes is the size
-	// of the packed float32 coordinate mirror (shared by all shards; 0
-	// when WithPackedCoords(false)).
+	// ArenaNodesInUse/Free count node-arena records; ArenaBytes is the
+	// slab memory backing them. PackedBytes is the size of the packed
+	// float32 coordinate mirror (0 when WithPackedCoords(false)).
 	ArenaNodesInUse int
 	ArenaNodesFree  int
 	ArenaBytes      int

@@ -291,3 +291,34 @@ func TestL1Embedding(t *testing.T) {
 		t.Fatalf("L1 query: %v, %d predictions", err, len(res.Predictions))
 	}
 }
+
+// TestWithShardsIsNoOp: WithShards is kept for source compatibility only;
+// any value builds the same one-tree index.
+func TestWithShardsIsNoOp(t *testing.T) {
+	g := WrapGraph(kggen.Movie(kggen.TinyMovieConfig()))
+	likes, _ := g.RelationByName("likes")
+	base, err := Build(g, WithSeed(42), WithEmbedding(EmbeddingParams{Dim: 16, Epochs: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hashes []uint64
+	for _, opts := range [][]Option{nil, {WithShards(4)}, {WithShards(0)}} {
+		v, err := Build(g, append([]Option{WithSeed(42), WithModelFrom(base)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := v.Engine().NumShards(); n != 1 {
+			t.Fatalf("NumShards = %d, want 1", n)
+		}
+		for i := 0; i < 10; i++ {
+			u, _ := g.EntityByName(fmt.Sprintf("user%d", i))
+			if _, err := v.TopKTails(u, likes, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hashes = append(hashes, v.Engine().StructureHash())
+	}
+	if hashes[0] != hashes[1] || hashes[0] != hashes[2] {
+		t.Fatalf("structure hashes differ across WithShards values: %x", hashes)
+	}
+}
